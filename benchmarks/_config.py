@@ -1,7 +1,8 @@
 """Benchmark scale control.
 
 ``REPRO_SCALE`` (default 1.0) multiplies every experiment size: pair
-counts, sample counts, rounds. The defaults finish in tens of minutes;
+counts, sample counts, rounds. At the default, ``pytest benchmarks/
+--benchmark-only`` takes about 2 minutes on a 2-core Xeon;
 ``REPRO_SCALE=2`` or more approaches the paper's full scale.
 """
 

@@ -2,9 +2,9 @@
 
 Every bench regenerates one of the paper's tables or figures and prints
 a paper-vs-measured report. Scale is controlled by the ``REPRO_SCALE``
-environment variable (default 1.0): the defaults are sized so the whole
-suite finishes in tens of minutes on a laptop; set ``REPRO_SCALE=3`` (or
-more) to approach the paper's full sample counts.
+environment variable (default 1.0): at the default the whole suite
+takes about 2 minutes on a 2-core Xeon; set ``REPRO_SCALE=3`` (or more)
+to approach the paper's full sample counts.
 
 Expensive artifacts — the PlanetLab validation sweep and the live-network
 all-pairs matrix — are built once per session and shared by the benches

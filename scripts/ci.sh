@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Single CI entry point: tier-1 tests, hot-path benchguards, and the
-# wall-time regression check against the committed BENCH_ting.json
-# baseline. Run from the repository root:
+# Single CI entry point: tier-1 tests, the perfbench harness tests,
+# hot-path benchguards, and the wall-time regression check against the
+# committed BENCH_ting.json baseline. Run from the repository root:
 #
 #   scripts/ci.sh            # everything
-#   scripts/ci.sh --fast     # tier-1 only (skip benchguards + bench)
+#   scripts/ci.sh --fast     # tier-1 + perfbench tests (skip benchguards + bench)
 #
 # REPRO_SCALE scales the benchguard workloads as usual.
 
@@ -20,6 +20,11 @@ fi
 
 echo "== tier-1 test suite =="
 python -m pytest -x -q
+
+echo "== benchmark harness tests =="
+# perfbench's own checks and pins: a tiny smoke run per workload, and
+# corrupted matrices, answers and pins that must fail the checks.
+python -m pytest perfbench/tests -q
 
 if [[ "$fast" == "1" ]]; then
     echo "== fast mode: skipping benchguards and bench check =="

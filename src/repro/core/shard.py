@@ -597,7 +597,7 @@ def _run_worker(
                     job.shard_index,
                     {
                         "chunk": chunk_id,
-                        "entries": list(chunk.matrix.measured_pairs()),
+                        "entries": chunk.matrix.measured_among(chunk_pairs),
                         "failures": list(chunk.failures),
                         "pairs_attempted": chunk.pairs_attempted,
                         "legs_measured": chunk.legs_measured,

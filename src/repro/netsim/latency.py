@@ -116,9 +116,11 @@ class LatencyEngine:
     def base_one_way_ms(
         self, src: Host, dst: Host, traffic_class: TrafficClass
     ) -> Milliseconds:
-        """The deterministic minimum one-way delay for this class."""
-        if src.host_id == dst.host_id or self._colocated(src, dst):
-            return self.loopback_rtt_ms / 2.0
+        """The deterministic minimum one-way delay for this class.
+
+        Cached per host pair, colocated pairs included, so a cache hit
+        never compares prefixes.
+        """
         key = (
             min(src.host_id, dst.host_id),
             max(src.host_id, dst.host_id),
@@ -126,16 +128,19 @@ class LatencyEngine:
         )
         base = self._base_cache.get(key)
         if base is None:
-            low = self.topology.hosts[key[0]]
-            high = self.topology.hosts[key[1]]
-            backbone = self.router.path_latency_ms(low.pop_id, high.pop_id)
-            base = (
-                backbone
-                + low.access_delay_ms
-                + high.access_delay_ms
-                + low.policy.extra_ms(traffic_class)
-                + high.policy.extra_ms(traffic_class)
-            )
+            if self._colocated(src, dst):
+                base = self.loopback_rtt_ms / 2.0
+            else:
+                low = self.topology.hosts[key[0]]
+                high = self.topology.hosts[key[1]]
+                backbone = self.router.path_latency_ms(low.pop_id, high.pop_id)
+                base = (
+                    backbone
+                    + low.access_delay_ms
+                    + high.access_delay_ms
+                    + low.policy.extra_ms(traffic_class)
+                    + high.policy.extra_ms(traffic_class)
+                )
             self._base_cache[key] = base
         return base
 
@@ -159,7 +164,7 @@ class LatencyEngine:
     ) -> Milliseconds:
         """One packet's one-way delay: floor plus sampled jitter."""
         base = self.base_one_way_ms(src, dst, traffic_class)
-        if src.host_id == dst.host_id or self._colocated(src, dst):
+        if self._colocated(src, dst):
             # Loopback jitter is scheduling noise only: tiny.
             return base + float(self._rng.exponential(0.01))
         return base + self.jitter.sample(self._rng)
@@ -185,5 +190,6 @@ class LatencyEngine:
 
     @staticmethod
     def _colocated(src: Host, dst: Host) -> bool:
-        """Hosts in the same /24 are treated as on one machine/subnet."""
-        return src.prefix24 == dst.prefix24
+        """One host, or two hosts in the same /24 (treated as on one
+        machine/subnet)."""
+        return src.host_id == dst.host_id or src.prefix24 == dst.prefix24

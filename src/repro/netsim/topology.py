@@ -74,11 +74,13 @@ class Host:
                 f"unknown host type {self.host_type!r}; "
                 f"expected one of {sorted(ACCESS_PROFILES)}"
             )
+        # Parsed once: the latency engine compares prefixes per packet.
+        self._prefix24 = prefix24(self.address)
 
     @property
     def prefix24(self) -> str:
         """The host's /24 prefix (network allocation granularity)."""
-        return prefix24(self.address)
+        return self._prefix24
 
     @property
     def prefix16(self) -> str:

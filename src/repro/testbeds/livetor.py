@@ -69,6 +69,13 @@ class LiveTorTestbed:
     measurement: MeasurementHost
     geolocation: GeolocationDB
 
+    def __post_init__(self) -> None:
+        # Shared by every relay of the world; see reset_connections.
+        self._touched: set[Relay] = set()
+        self._relay_order = {relay: i for i, relay in enumerate(self.relays)}
+        for relay in self.relays:
+            relay.touched = self._touched
+
     @classmethod
     def build(
         cls,
@@ -288,11 +295,18 @@ class LiveTorTestbed:
         first pays the handshake (and its RNG draws), later tasks do not.
         Dropping the caches before each isolated task makes every task
         start from the same cold-connection state.
+
+        Only relays that cached state since the last reset are visited,
+        so the cost is O(touched relays), not O(world). They are visited
+        in world order: closing a connection schedules an event and
+        draws a delay, so the order is part of the simulation.
         """
         self.measurement.proxy.disconnect_or_conns()
         self.measurement.relay_w.disconnect_or_conns()
         self.measurement.relay_z.disconnect_or_conns()
-        for relay in self.relays:
+        touched = sorted(self._touched, key=self._relay_order.__getitem__)
+        self._touched.clear()
+        for relay in touched:
             relay.disconnect_or_conns()
 
     def task_isolation(self):

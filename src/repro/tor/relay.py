@@ -232,10 +232,9 @@ class Relay:
         # Sim time of the last queue-saturation event, for rate limiting.
         self._last_saturation_ms = -float("inf")
 
-        # Outbound OR connections keyed by "address:port"; each entry is
-        # (conn, established, pending cells queued while connecting).
+        # Outbound OR connections keyed by "address:port" (a connection
+        # still establishing is cached too; see _or_conn_to).
         self._or_conns: dict[str, StreamConnection] = {}
-        self._pending_cells: dict[str, list[Cell]] = {}
         # Circuit table keyed by (id(conn), circ_id) for each direction.
         self._circuits: dict[tuple[int, int], _CircuitEntry] = {}
         # Reverse index: which (conn, circ_id) is the *next*-hop side.
@@ -243,6 +242,10 @@ class Relay:
         self._circ_id_counter = itertools.count(1)
         # Per-connection FIFO release times for the cell queue.
         self._queue_head: dict[int, float] = {}
+        #: The set this relay joins whenever it caches OR-connection or
+        #: queue state. A world shares one set across its relays, so its
+        #: per-task reset visits only the relays that hold such state.
+        self.touched: set[Relay] = set()
         self._online = True
 
         fabric.listen(host, or_port, self._accept_or_connection)
@@ -303,6 +306,7 @@ class Relay:
             self.host, target, port, TrafficClass.TOR, established, failed
         )
         self._or_conns[key] = conn
+        self.touched.add(self)
 
     # ------------------------------------------------------------------
     # Cell dispatch
@@ -339,6 +343,7 @@ class Relay:
                         backlog_ms=round(backlog, 3),
                     )
         self._queue_head[id(conn)] = ready_at
+        self.touched.add(self)
         self.sim.schedule_at(ready_at, self._process_cell, conn, cell)
 
     def _process_cell(self, conn: StreamConnection, cell: Cell) -> None:
@@ -653,7 +658,6 @@ class Relay:
         for conn in self._or_conns.values():
             conn.close()
         self._or_conns.clear()
-        self._pending_cells.clear()
         self._queue_head.clear()
 
     def shutdown(self) -> None:

@@ -74,6 +74,22 @@ class TestCompleteness:
         assert measured[("a", "b")] == 10.0
         assert len(measured) == 3
 
+    def test_measured_among_matches_a_full_scan(self):
+        m = RttMatrix(["a", "b", "c", "d"])
+        m.set("c", "a", 7.0)
+        m.set("b", "d", 3.0)
+        m.set("a", "b", 1.0)
+        # Reversed, repeated and unmeasured pairs: the result keeps the
+        # scan's orientation and order, once per pair, measured only.
+        pairs = [("d", "b"), ("a", "c"), ("c", "a"), ("c", "d")]
+        expected = [e for e in m.measured_pairs() if e[:2] != ("a", "b")]
+        assert m.measured_among(pairs) == expected
+        assert m.measured_among([]) == []
+
+    def test_measured_among_rejects_unknown_nodes(self, matrix):
+        with pytest.raises(MeasurementError):
+            matrix.measured_among([("a", "zz")])
+
 
 class TestStatistics:
     def test_mean_rtt(self, matrix):
